@@ -1,6 +1,6 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 
-.PHONY: ci hygiene lint invariants typecheck test bench-smoke bench-baseline fleet-demo
+.PHONY: ci hygiene lint invariants typecheck test bench-smoke bench-baseline perfbench-check fleet-demo
 
 ## Run every CI gate locally (hygiene + lint + typecheck + tests + bench baseline).
 ci:
@@ -42,6 +42,11 @@ bench-baseline:
 	python -m pytest benchmarks tests/test_crash_recovery.py -q -k "classification or fig12a or columnar or serving or query or aggregates or crash or live" \
 		--bench-json BENCH_current.json
 	python scripts/bench_baseline.py BENCH_current.json
+
+## perfbench self-check: every workload at tiny sizes, fleet outputs
+## checked against perfbench/fleet_reference.json (~40 s on 2 vCPUs).
+perfbench-check:
+	python3 perfbench/run.py --self-check
 
 ## Fleet orchestrator demo: cold + warm-cache run over a synthetic fleet.
 fleet-demo:

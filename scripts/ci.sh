@@ -56,4 +56,8 @@ python -m pytest benchmarks tests/test_crash_recovery.py -q \
 python scripts/bench_baseline.py "${bench_json}"
 
 echo
+echo "== benchmark self-check (tiny perfbench workloads vs stored fleet reference) =="
+python3 perfbench/run.py --self-check
+
+echo
 echo "All CI-equivalent checks passed."

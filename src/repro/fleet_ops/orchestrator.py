@@ -35,9 +35,11 @@ import hashlib
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.core.incidents import IncidentManager
@@ -53,6 +55,8 @@ from repro.parallel.executor import (
 from repro.storage.artifacts import ArtifactStore, artifact_key
 from repro.storage.datalake import DataLakeStore, ExtractKey, ExtractNotFoundError
 from repro.storage.query import ExtractQuery
+from repro.timeseries.calendar import MINUTES_PER_DAY
+from repro.timeseries.frame import LoadFrame
 
 
 #: Config fields that change *how* a unit is computed, not *what* it
@@ -124,6 +128,22 @@ def _failed_outcome(task: _UnitTask, reason: str, wall: float) -> FleetUnitOutco
     )
 
 
+def _shard_load(frame: LoadFrame) -> dict[str, Any]:
+    """The unit's load rollup, folded from the frame it already read: rows,
+    distinct days, sample-weighted mean and peak over every server."""
+    series = [s for _server_id, _metadata, s in frame.items() if len(s)]
+    if not series:
+        return {"rows": 0, "days": 0, "mean_load": 0.0, "peak_load": 0.0}
+    values = np.concatenate([s.values for s in series])
+    days = np.concatenate([s.timestamps for s in series]) // MINUTES_PER_DAY
+    return {
+        "rows": int(values.shape[0]),
+        "days": int(np.unique(days).shape[0]),
+        "mean_load": float(values.sum()) / values.shape[0],
+        "peak_load": float(values.max()),
+    }
+
+
 def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
     """Run the pipeline for one ``(region, week)`` unit.
 
@@ -173,35 +193,6 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
     frame = answer.frame
     ingest_seconds = time.perf_counter() - ingest_started
 
-    # Roll up the shard's load through the aggregate query path: on .sgx
-    # v4 lakes fully covered chunks reduce from chunk-table statistics
-    # without their value buffers ever being decoded.  Best-effort -- a
-    # lake that cannot answer it leaves the summary empty rather than
-    # failing a unit whose row read succeeded.
-    load: dict[str, Any] = {}
-    try:
-        agg = lake.query(
-            replace(task.query, aggregates=("count", "mean", "max"), group_by=("day",))
-        )
-    except (ExtractNotFoundError, ValueError):
-        pass
-    else:
-        groups = agg.aggregates or {}
-        rows = sum(int(g["count"]) for g in groups.values())
-        load = {
-            "rows": rows,
-            "days": len(groups),
-            "mean_load": (
-                sum(int(g["count"]) * float(g["mean"]) for g in groups.values()) / rows
-                if rows
-                else 0.0
-            ),
-            "peak_load": max((float(g["max"]) for g in groups.values()), default=0.0),
-            "chunks_answered_from_stats": agg.stats.chunks_answered_from_stats,
-            "bytes_decoded_avoided": agg.stats.bytes_decoded_avoided,
-            "payload_bytes_verified": agg.stats.payload_bytes_verified,
-        }
-
     incidents = IncidentManager()
     pipeline = SeagullPipeline(
         task.config,
@@ -235,7 +226,7 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
         wall_seconds=time.perf_counter() - started,
         serving=serving,
         scan=answer.stats.as_dict(),
-        load=load,
+        load=_shard_load(frame),
     )
     if cache is not None and result.succeeded:
         cache.put(unit_key, outcome.to_payload())

@@ -42,11 +42,10 @@ class FleetUnitOutcome:
     #: servers skipped, bytes CRC-verified vs stored); empty when the unit
     #: never ran a query (failed before ingestion).
     scan: dict[str, Any] = field(default_factory=dict)
-    #: Load rollup of the unit's shard, answered through the aggregate
-    #: query path (``.sgx`` v4 chunks fully inside the shard are reduced
-    #: from chunk-table statistics, never decoded): rows, days covered,
-    #: fleet-weighted mean and peak load, plus the decode-avoidance
-    #: counters.  Empty when the unit failed before ingestion.
+    #: Load rollup of the unit's shard, folded from the frame its
+    #: ingestion query already read: rows, distinct days covered,
+    #: sample-weighted mean and peak load.  Empty when the unit failed
+    #: before ingestion.
     load: dict[str, Any] = field(default_factory=dict)
 
     def as_cache_hit(self, wall_seconds: float) -> "FleetUnitOutcome":
@@ -296,16 +295,12 @@ class FleetReport:
         return rollup
 
     def load_rollup(self) -> dict[str, Any]:
-        """Fleet-wide load summary, routed through the aggregate path.
+        """Fleet-wide load summary over each unit's ``load`` entry.
 
-        Each unit's ``load`` entry was answered by an aggregate
-        :class:`~repro.storage.query.ExtractQuery` -- on ``.sgx`` v4
-        lakes fully covered chunks are reduced from chunk-table
-        statistics without their value buffers ever being decoded.  The
-        fleet mean is sample-weighted (``sum(rows * mean) / sum(rows)``),
-        the peak is the max of unit peaks, and the decode-avoidance
-        counters say how many payload bytes the statistics path saved
-        across the whole fleet.
+        Each entry is folded from the frame the unit's ingestion query
+        read.  ``days`` sums each unit's distinct days (unit-days), the
+        fleet mean is sample-weighted (``sum(rows * mean) / sum(rows)``)
+        and the peak is the max of unit peaks.
         """
         rollup: dict[str, Any] = {
             "units_with_load": 0,
@@ -313,9 +308,6 @@ class FleetReport:
             "days": 0,
             "mean_load": 0.0,
             "peak_load": 0.0,
-            "chunks_answered_from_stats": 0,
-            "bytes_decoded_avoided": 0,
-            "payload_bytes_verified": 0,
         }
         weighted_sum = 0.0
         for outcome in self.outcomes:
@@ -328,12 +320,6 @@ class FleetReport:
             rollup["days"] += int(load.get("days", 0))
             weighted_sum += rows * float(load.get("mean_load", 0.0))
             rollup["peak_load"] = max(rollup["peak_load"], float(load.get("peak_load", 0.0)))
-            for counter in (
-                "chunks_answered_from_stats",
-                "bytes_decoded_avoided",
-                "payload_bytes_verified",
-            ):
-                rollup[counter] += int(load.get(counter, 0))
         if rollup["rows"]:
             rollup["mean_load"] = weighted_sum / rollup["rows"]
         return rollup
@@ -417,9 +403,7 @@ class FleetReport:
         load = self.load_rollup()
         if load["units_with_load"]:
             lines.append(
-                f"Aggregate: {load['rows']} rows over {load['days']} server-days, "
-                f"mean load {load['mean_load']:.1f}, peak {load['peak_load']:.1f} "
-                f"({load['chunks_answered_from_stats']} chunks answered from stats, "
-                f"{load['bytes_decoded_avoided']} payload bytes never decoded)"
+                f"Aggregate: {load['rows']} rows over {load['days']} unit-days, "
+                f"mean load {load['mean_load']:.1f}, peak {load['peak_load']:.1f}"
             )
         return "\n".join(lines)

@@ -359,6 +359,117 @@ class TestFleetReportEdgeCases:
         assert report.render_text()
 
 
+class TestFleetLoadRollup:
+    """Each unit's ``load`` is folded from the frame its row query read; it
+    must agree with an aggregate query over the same shard."""
+
+    @staticmethod
+    def _aggregate_load(lake, key, config):
+        from repro.storage.query import ExtractQuery
+
+        groups = lake.query(
+            ExtractQuery.for_key(
+                key,
+                interval_minutes=config.interval_minutes,
+                aggregates=("count", "sum", "max"),
+                group_by=("day",),
+            )
+        ).aggregates
+        rows = sum(int(g["count"]) for g in groups.values())
+        return {
+            "rows": rows,
+            "days": len(groups),
+            "mean_load": sum(float(g["sum"]) for g in groups.values()) / rows,
+            "peak_load": max(float(g["max"]) for g in groups.values()),
+        }
+
+    def _assert_matches_aggregate(self, lake, report, config):
+        assert report.n_units and all(outcome.load for outcome in report.outcomes)
+        for outcome in report.outcomes:
+            expected = self._aggregate_load(lake, ExtractKey(outcome.region, outcome.week), config)
+            assert set(outcome.load) == {"rows", "days", "mean_load", "peak_load"}
+            assert outcome.load["rows"] == expected["rows"]
+            assert outcome.load["days"] == expected["days"]
+            assert outcome.load["peak_load"] == expected["peak_load"]
+            assert outcome.load["mean_load"] == pytest.approx(expected["mean_load"], rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["csv", "sgx"])
+    def test_unit_load_matches_aggregate_query(self, tmp_path, fleet_spec, fmt):
+        config = PipelineConfig()
+        lake = DataLakeStore(tmp_path / "lake", write_format=fmt)
+        populate_lake(lake, fleet_spec, weeks=[0])
+        assert {lake.extract_formats(key) for key in lake.list_extracts()} == {(fmt,)}
+        with FleetOrchestrator(lake, config) as orchestrator:
+            report = orchestrator.run()
+        self._assert_matches_aggregate(lake, report, config)
+
+    def test_unit_with_an_empty_series(self, tmp_path):
+        from repro.timeseries.frame import LoadFrame, ServerMetadata
+        from repro.timeseries.series import LoadSeries
+
+        from tests.helpers import diurnal_series
+
+        config = PipelineConfig()
+        lake = DataLakeStore(tmp_path / "lake", write_format="sgx")
+        frame = LoadFrame(5)
+        frame.add_server(ServerMetadata(server_id="live", region="r0"), diurnal_series(3, seed=2))
+        frame.add_server(ServerMetadata(server_id="retired", region="r0"), LoadSeries.empty(5))
+        lake.write_extract(ExtractKey("r0", 0), frame)
+        with FleetOrchestrator(lake, config) as orchestrator:
+            report = orchestrator.run()
+        self._assert_matches_aggregate(lake, report, config)
+        assert report.outcomes[0].load["days"] == 3
+
+    def test_cold_serial_run_queries_the_lake_once_per_unit(
+        self, monkeypatch, tmp_path, fleet_spec
+    ):
+        lake = DataLakeStore(tmp_path / "lake")
+        populate_lake(lake, fleet_spec, weeks=range(2))
+        calls = []
+        real_query = DataLakeStore.query
+
+        def counting_query(self, q, *args, **kwargs):
+            calls.append(q)
+            return real_query(self, q, *args, **kwargs)
+
+        monkeypatch.setattr(DataLakeStore, "query", counting_query)
+        cache_dir = tmp_path / "cache"
+        with FleetOrchestrator(lake, PipelineConfig(), cache_dir=cache_dir) as orchestrator:
+            report = orchestrator.run()
+        assert report.n_units == 4 and report.n_failed == 0
+        assert report.cache_summary()["unit_hits"] == 0
+        assert len(calls) == report.n_units
+        assert all(q.aggregates is None for q in calls)
+
+    def test_load_rollup_is_sample_weighted(self):
+        def outcome(week, load):
+            return FleetUnitOutcome(
+                region="r0", week=week, run_id=f"run-{week}", succeeded=True,
+                abort_reason="", timings={}, summary=None, n_servers=1,
+                n_predictions=0, n_predictable=0, incidents=[], cache_events={},
+                wall_seconds=0.0, load=load,
+            )
+
+        report = FleetReport(
+            outcomes=[
+                outcome(0, {"rows": 100, "days": 2, "mean_load": 10.0, "peak_load": 30.0}),
+                outcome(1, {"rows": 300, "days": 5, "mean_load": 50.0, "peak_load": 90.0}),
+                outcome(2, {}),  # failed before ingestion: no load entry
+            ],
+            backend="serial", n_workers=1, wall_seconds=0.0,
+        )
+        assert report.load_rollup() == {
+            "units_with_load": 2,
+            "rows": 400,
+            "days": 7,
+            "mean_load": 40.0,  # (100 * 10 + 300 * 50) / 400, not the unit mean 30
+            "peak_load": 90.0,
+        }
+        assert "Aggregate: 400 rows over 7 unit-days, mean load 40.0, peak 90.0" in (
+            report.render_text()
+        )
+
+
 class TestColumnarFleetRuns:
     def test_sgx_memory_lake_matches_csv_lake(self, fleet_spec):
         csv_lake = DataLakeStore()

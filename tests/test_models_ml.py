@@ -9,6 +9,7 @@ from repro.models.base import ForecastError
 from repro.models.feedforward import FeedForwardConfig, FeedForwardForecaster
 from repro.models.seasonal import SeasonalAdditiveForecaster, SeasonalConfig
 from repro.models.ssa import SsaForecaster
+from repro.timeseries.calendar import MINUTES_PER_DAY, MINUTES_PER_WEEK
 from repro.timeseries.series import LoadSeries
 
 from tests.helpers import POINTS_PER_DAY, diurnal_series, make_series
@@ -96,6 +97,109 @@ class TestSeasonalAdditiveForecaster:
         history = make_series(np.full(7 * POINTS_PER_DAY, 42.0))
         forecast = SeasonalAdditiveForecaster().fit(history).predict(96)
         assert np.all(np.abs(forecast.values - 42.0) < 3.0)
+
+
+class _ReferenceSeasonalForecaster(SeasonalAdditiveForecaster):
+    """The seasonal fit as first written -- a fresh train and valid design
+    per changepoint candidate and a fresh gram per ridge strength -- kept as
+    the oracle the shared-design fit must match bit for bit."""
+
+    def _design(self, timestamps, changepoints):
+        cfg = self._config
+        t = (timestamps - self._t_offset) / self._t_scale
+        columns = [np.ones_like(t), t]
+        for changepoint in changepoints:
+            columns.append(np.maximum(t - changepoint, 0.0))
+        day_phase = 2.0 * np.pi * (timestamps % MINUTES_PER_DAY) / MINUTES_PER_DAY
+        for order in range(1, cfg.daily_order + 1):
+            columns.append(np.sin(order * day_phase))
+            columns.append(np.cos(order * day_phase))
+        week_phase = 2.0 * np.pi * (timestamps % MINUTES_PER_WEEK) / MINUTES_PER_WEEK
+        for order in range(1, cfg.weekly_order + 1):
+            columns.append(np.sin(order * week_phase))
+            columns.append(np.cos(order * week_phase))
+        return np.column_stack(columns)
+
+    @staticmethod
+    def _ridge_fit(design, target, alpha):
+        gram = design.T @ design
+        gram += alpha * np.eye(gram.shape[0])
+        return np.linalg.solve(gram, design.T @ target)
+
+    def _fit(self, history):
+        cfg = self._config
+        timestamps = history.timestamps.astype(np.float64)
+        values = history.values.astype(np.float64)
+        if values.shape[0] < 4:
+            raise ForecastError(f"{self.name}: history too short")
+
+        self._t_offset = float(timestamps[0])
+        self._t_scale = max(float(timestamps[-1] - timestamps[0]), 1.0)
+
+        holdout = max(1, int(cfg.holdout_fraction * values.shape[0]))
+        train_ts, train_vs = timestamps[:-holdout], values[:-holdout]
+        valid_ts, valid_vs = timestamps[-holdout:], values[-holdout:]
+        if train_vs.shape[0] < 4:
+            train_ts, train_vs = timestamps, values
+            valid_ts, valid_vs = timestamps, values
+
+        best = (float("inf"), cfg.ridge_candidates[0], cfg.changepoint_candidates[0])
+        for n_changepoints in cfg.changepoint_candidates:
+            changepoints = self._make_changepoints(n_changepoints)
+            train_design = self._design(train_ts, changepoints)
+            valid_design = self._design(valid_ts, changepoints)
+            for alpha in cfg.ridge_candidates:
+                coefficients = self._ridge_fit(train_design, train_vs, alpha)
+                error = float(np.mean((valid_design @ coefficients - valid_vs) ** 2))
+                if error < best[0]:
+                    best = (error, alpha, n_changepoints)
+
+        _, alpha, n_changepoints = best
+        self._selected = {"alpha": alpha, "n_changepoints": float(n_changepoints)}
+        self._changepoints = self._make_changepoints(n_changepoints)
+        full_design = self._design(timestamps, self._changepoints)
+        self._coefficients = self._ridge_fit(full_design, values, alpha)
+
+
+def _cyclic_history(n_points: int, seed: int, kink: float, interval: int = 15) -> LoadSeries:
+    """Daily and weekly cycles plus noise on an ``interval``-minute grid; the
+    trend bends upward by ``kink`` per point from the middle of the window."""
+    rng = np.random.default_rng(seed)
+    index = np.arange(n_points)
+    minutes = index * interval
+    values = (
+        30.0
+        + 20.0 * np.sin(2.0 * np.pi * (minutes % MINUTES_PER_DAY) / MINUTES_PER_DAY)
+        + 8.0 * np.cos(2.0 * np.pi * (minutes % MINUTES_PER_WEEK) / MINUTES_PER_WEEK)
+        + kink * np.maximum(index - n_points // 2, 0)
+        + rng.normal(0.0, 2.0, n_points)
+    )
+    return LoadSeries.from_values(values, start=2 * MINUTES_PER_WEEK, interval_minutes=interval)
+
+
+class TestSeasonalFitMatchesReference:
+    """The shared-design fit is byte-identical to the per-candidate one."""
+
+    @pytest.mark.parametrize(
+        ("history", "n_changepoints"),
+        [
+            pytest.param(_cyclic_history(1728, seed=0, kink=0.04), 25.0, id="1728-points"),
+            pytest.param(_cyclic_history(2016, seed=0, kink=0.04), 6.0, id="2016-points"),
+            # The fleet's training histories: one week of 5-minute samples.
+            pytest.param(_cyclic_history(2016, seed=1, kink=0.01, interval=5), 25.0, id="5-minute"),
+            # train = 4 - 1 < 4 points: train and valid are the full window.
+            pytest.param(make_series([10.0, 30.0, 20.0, 40.0], interval=15), 25.0, id="short"),
+            pytest.param(_cyclic_history(2016, seed=0, kink=0.0), 0.0, id="no-changepoints"),
+        ],
+    )
+    def test_predictions_and_selection_identical(self, history, n_changepoints):
+        fitted = SeasonalAdditiveForecaster().fit(history)
+        reference = _ReferenceSeasonalForecaster().fit(history)
+        assert fitted.selected_hyperparameters == reference.selected_hyperparameters
+        assert fitted.selected_hyperparameters["n_changepoints"] == n_changepoints
+        assert np.array_equal(
+            fitted.predict(POINTS_PER_DAY).values, reference.predict(POINTS_PER_DAY).values
+        )
 
 
 class TestArimaForecaster:
