@@ -35,11 +35,11 @@ test:
 
 ## Quick benchmark smoke: the jobs CI runs on every PR.
 bench-smoke:
-	python -m pytest benchmarks tests/test_crash_recovery.py -q -k "classification or fig12a or columnar or serving or query or aggregates or crash or live"
+	python -m pytest benchmarks tests/test_crash_recovery.py -q -k "classification or fig12a or columnar or serving or query or aggregates or crash or live or (fleet_orchestrator and warm)"
 
 ## Benchmark smoke + regression gate against the committed BENCH_seed.json.
 bench-baseline:
-	python -m pytest benchmarks tests/test_crash_recovery.py -q -k "classification or fig12a or columnar or serving or query or aggregates or crash or live" \
+	python -m pytest benchmarks tests/test_crash_recovery.py -q -k "classification or fig12a or columnar or serving or query or aggregates or crash or live or (fleet_orchestrator and warm)" \
 		--bench-json BENCH_current.json
 	python scripts/bench_baseline.py BENCH_current.json
 

@@ -39,7 +39,7 @@ DAY_MINUTES = 24 * 60
 def _dual_format_lake(tmp_path_factory) -> tuple[DataLakeStore, ExtractKey]:
     """A disk lake holding the same extract in both formats."""
     spec = default_fleet_spec(servers_per_region=(N_SERVERS,), weeks=SPEC_WEEKS, seed=307)
-    lake = DataLakeStore(tmp_path_factory.mktemp("columnar-lake"))
+    lake = DataLakeStore(tmp_path_factory.mktemp("columnar-lake"), write_format="csv")
     keys = populate_lake(lake, spec, weeks=[0])
     convert_lake(lake, "sgx")  # keeps the CSV source alongside
     return lake, keys[0]

@@ -14,7 +14,9 @@ The parallel comparison is asserted only when the shared worker-count
 heuristic (:func:`repro.parallel.executor.recommended_fleet_workers`:
 ``min(units, usable CPUs, cap)``) grants more than one worker -- a process
 pool cannot beat a serial loop on one CPU; the numbers are printed either
-way.  The warm-cache speedup is hardware-independent and always asserted.
+way.  The warm-cache speedup is hardware-independent and always asserted, and so is the
+deterministic cache-write counter: a cold unit's artifact puts (three
+pipeline stages plus the unit outcome) share one cache-file write.
 """
 
 from __future__ import annotations
@@ -24,12 +26,18 @@ from repro.core.config import PipelineConfig
 from repro.fleet_ops.orchestrator import FleetOrchestrator
 from repro.fleet_ops.synthesis import populate_lake
 from repro.parallel.executor import recommended_fleet_workers
+from repro.storage.artifacts import ArtifactStore
 from repro.storage.datalake import DataLakeStore
+from repro.storage.documentdb import DocumentStore
 from repro.telemetry.fleet import default_fleet_spec
 
 #: Three differently sized regions, two weekly extract cycles each.
 FLEET_SERVERS = (16, 10, 6)
 EXTRACT_WEEKS = 2
+
+#: Artifact puts per cache-file write a cold run must reach: every unit's
+#: four puts share one write.
+MIN_CACHE_PUTS_PER_WRITE = 4.0
 
 #: A forecaster with a real training cost, so that compute (not CSV
 #: parsing) dominates and sharding/caching effects are representative.
@@ -96,14 +104,36 @@ def test_fleet_parallel_vs_serial(benchmark, tmp_path_factory):
         )
 
 
-def test_fleet_warm_cache_rerun(benchmark, tmp_path_factory):
+def _count_cache_io(monkeypatch) -> dict[str, int]:
+    """Count artifact puts and cache-file writes (in-process units only)."""
+    counts = {"puts": 0, "writes": 0}
+    real_put, real_persist = ArtifactStore.put, DocumentStore._persist
+
+    def counting_put(self, key, payload):
+        counts["puts"] += 1
+        real_put(self, key, payload)
+
+    def counting_persist(self):
+        if self._path is not None:
+            counts["writes"] += 1
+        real_persist(self)
+
+    monkeypatch.setattr(ArtifactStore, "put", counting_put)
+    monkeypatch.setattr(DocumentStore, "_persist", counting_persist)
+    return counts
+
+
+def test_fleet_warm_cache_rerun(benchmark, tmp_path_factory, monkeypatch, record_ratio):
     lake = _make_lake(tmp_path_factory)
     cache_dir = tmp_path_factory.mktemp("fleet-cache")
 
     with FleetOrchestrator(
         lake, PipelineConfig(model_name=MODEL), cache_dir=cache_dir
     ) as orchestrator:
+        counts = _count_cache_io(monkeypatch)
         cold = orchestrator.run()
+        cold_puts, cold_writes = counts["puts"], counts["writes"]
+        monkeypatch.undo()
 
         def rerun_warm():
             return orchestrator.run()
@@ -128,6 +158,14 @@ def test_fleet_warm_cache_rerun(benchmark, tmp_path_factory):
     for before, after in zip(cold.outcomes, warm.outcomes, strict=True):
         assert after.summary == before.summary
         assert after.n_predictable == before.n_predictable
+
+    # Deterministic counter: the serial cold run's puts per cache write.
+    puts_per_write = cold_puts / cold_writes
+    print(f"cold run: {cold_puts} artifact puts, {cold_writes} cache-file writes "
+          f"({puts_per_write:.1f} puts per write)")
+    record_ratio("fleet_cache_puts_per_write", puts_per_write, floor=MIN_CACHE_PUTS_PER_WRITE)
+    assert cold_writes == cold.n_units
+    assert puts_per_write >= MIN_CACHE_PUTS_PER_WRITE
 
     # Acceptance: warm-cache re-run at least 2x faster than the cold run.
     assert warm.wall_seconds * 2 <= cold.wall_seconds, (

@@ -51,7 +51,7 @@ fi
 bench_json="$(mktemp -t bench-XXXXXX.json)"
 trap 'rm -f "${bench_json}"' EXIT
 python -m pytest benchmarks tests/test_crash_recovery.py -q \
-    -k "classification or fig12a or columnar or serving or query or aggregates or crash or live" \
+    -k "classification or fig12a or columnar or serving or query or aggregates or crash or live or (fleet_orchestrator and warm)" \
     ${timeout_flag} --bench-json "${bench_json}"
 python scripts/bench_baseline.py "${bench_json}"
 

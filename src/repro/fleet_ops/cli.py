@@ -34,7 +34,12 @@ from pathlib import Path
 from repro.core.config import PipelineConfig
 from repro.fleet_ops.orchestrator import FleetOrchestrator
 from repro.fleet_ops.synthesis import populate_lake
-from repro.storage.datalake import EXTRACT_FORMATS, DataLakeStore, ExtractKey
+from repro.storage.datalake import (
+    DEFAULT_WRITE_FORMAT,
+    EXTRACT_FORMATS,
+    DataLakeStore,
+    ExtractKey,
+)
 from repro.storage.migrate import ConversionVerificationError, convert_lake
 from repro.telemetry.fleet import default_fleet_spec
 
@@ -79,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--extract-format",
         choices=EXTRACT_FORMATS,
-        default="sgx",
+        default=DEFAULT_WRITE_FORMAT,
         help="format newly generated extracts are written in "
         "(.sgx is the columnar fast path; default: %(default)s)",
     )

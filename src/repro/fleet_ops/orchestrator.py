@@ -18,7 +18,9 @@ Two cache layers make re-runs cheap:
 
 Both layers live in per-unit files under ``cache_dir``, so process-pool
 workers never contend on a shared cache file and warm re-runs work across
-operating-system processes.
+operating-system processes.  A cold unit writes its cache file once (all
+of its puts share one :meth:`~repro.storage.documentdb.DocumentStore.
+batch`); a warm unit writes nothing.
 
 The unit of worker handoff is ``(lake handle, ExtractQuery)``: every task
 carries the lake's root path plus a typed query pinned to its ``(region,
@@ -52,7 +54,7 @@ from repro.parallel.executor import (
     PartitionedExecutor,
     recommended_fleet_workers,
 )
-from repro.storage.artifacts import ArtifactStore, artifact_key
+from repro.storage.artifacts import ArtifactStore, artifact_key, open_backing_store
 from repro.storage.datalake import DataLakeStore, ExtractKey, ExtractNotFoundError
 from repro.storage.query import ExtractQuery
 from repro.timeseries.calendar import MINUTES_PER_DAY
@@ -168,10 +170,14 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
             time.perf_counter() - started,
         )
 
-    cache: ArtifactStore | None = None
-    unit_key = ""
-    if task.cache_dir is not None:
-        cache = ArtifactStore.at(unit_cache_path(task.cache_dir, task.region, task.week))
+    if task.cache_dir is None:
+        return _compute_unit(task, lake, None, "", started)
+    # One batch per unit: the container create, the pipeline's three stage
+    # puts and the outcome put share a single cache-file write; a warm
+    # unit (every lookup a hit) writes nothing.
+    documents = open_backing_store(unit_cache_path(task.cache_dir, task.region, task.week))
+    with documents.batch():
+        cache = ArtifactStore(documents)
         unit_key = artifact_key(STAGE_UNIT_OUTCOME, fingerprint, _unit_cache_params(task.config))
         payload = cache.get(unit_key)
         if payload is not None:
@@ -182,9 +188,21 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
                 outcome = None
             if outcome is not None:
                 return outcome.as_cache_hit(time.perf_counter() - started)
+        return _compute_unit(task, lake, cache, unit_key, started)
 
-    # Ingest (unit-cache miss or caching disabled): the worker answers its
-    # own shard's query against its own lake handle.
+
+def _compute_unit(
+    task: _UnitTask,
+    lake: DataLakeStore,
+    cache: ArtifactStore | None,
+    unit_key: str,
+    started: float,
+) -> FleetUnitOutcome:
+    """The unit-cache miss path: ingest the shard, run the pipeline
+    (stage lookups and puts go through ``cache``) and, on success, cache
+    the outcome under ``unit_key``."""
+    key = ExtractKey(region=task.region, week=task.week)
+    # The worker answers its own shard's query against its own lake handle.
     ingest_started = time.perf_counter()
     try:
         answer = lake.query(task.query)

@@ -271,8 +271,9 @@ class FleetReport:
 
         Aggregates each unit's ingestion-query :class:`~repro.storage.
         query.ScanStats`: extracts scanned, chunk/zone-map pruning,
-        server and column skips, and payload bytes CRC-verified vs
-        stored -- the fleet-level view of what pushdown saved.
+        server and column skips, payload bytes CRC-verified vs stored --
+        the fleet-level view of what pushdown saved -- and damaged
+        ``.sgx`` extracts answered from their CSV copy.
         """
         rollup: dict[str, Any] = {
             "extracts_scanned": 0,
@@ -284,6 +285,7 @@ class FleetReport:
             "payload_bytes_stored": 0,
             "payload_bytes_verified": 0,
             "rows": 0,
+            "csv_fallbacks": 0,
         }
         for outcome in self.outcomes:
             for counter in rollup:
@@ -392,7 +394,7 @@ class FleetReport:
             f"{serving['units_fell_back']} units on fallback versions)"
         )
         scan = self.scan_rollup()
-        lines.append(
+        scan_line = (
             f"Scan: {scan['extracts_scanned']} extracts, {scan['rows']} rows, "
             f"{scan['chunks_pruned']}/{scan['chunks_seen']} chunks pruned, "
             f"{scan['servers_skipped']} servers skipped, "
@@ -400,6 +402,9 @@ class FleetReport:
             f"payload bytes CRC-verified "
             f"({100.0 * scan['verified_fraction']:.0f}%)"
         )
+        if scan["csv_fallbacks"]:
+            scan_line += f", {scan['csv_fallbacks']} damaged .sgx read from CSV"
+        lines.append(scan_line)
         load = self.load_rollup()
         if load["units_with_load"]:
             lines.append(

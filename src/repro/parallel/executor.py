@@ -9,11 +9,14 @@ parallel path.
 Worker pools are created lazily on first use and *reused* across ``map``
 calls, so an executor shared by many pipeline runs (the fleet orchestrator
 does exactly this) pays the pool start-up cost once instead of per call.
-Executors are context managers; ``close()`` releases the pool.
+Executors are context managers; ``close()`` releases the pool.  Process
+workers cap their BLAS thread count at their share of the CPUs, so ``n``
+workers never run ``n`` host-sized BLAS thread pools on the same cores.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import os
 import time
@@ -66,6 +69,50 @@ def recommended_fleet_workers(n_units: int, available: int | None = None) -> int
         return 1
     cores = available if available is not None else default_worker_count()
     return max(1, min(n_units, cores, MAX_FLEET_WORKERS))
+
+
+#: Environment caps BLAS libraries read when they load.
+_BLAS_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Thread-count setters OpenBLAS builds export (numpy 2 wheels bundle the
+#: 64-bit-integer ``scipy_openblas`` build).
+_OPENBLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _limit_blas_threads(n_threads: int) -> None:
+    """Cap this process's BLAS at ``n_threads`` threads (process-pool
+    worker initializer).
+
+    Forked workers inherit a BLAS sized for the whole host, so two workers
+    on two cores each spin a two-thread BLAS pool; on the fleet bench that
+    made the process backend 2-3x slower than the serial loop.  Libraries
+    not loaded yet read the environment caps; an OpenBLAS already mapped
+    into the process is capped through its own setter.  Best effort:
+    other BLAS builds keep their thread count.
+    """
+    for name in _BLAS_THREAD_ENV:
+        os.environ[name] = str(n_threads)
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return  # no /proc: only the environment caps apply
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_THREAD_SETTERS:
+            setter = getattr(library, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(n_threads)
+                break
 
 
 class ExecutionBackend(enum.Enum):
@@ -151,7 +198,11 @@ class PartitionedExecutor:
             if self._backend is ExecutionBackend.THREADS:
                 self._pool = ThreadPoolExecutor(max_workers=self._n_workers)
             else:
-                self._pool = ProcessPoolExecutor(max_workers=self._n_workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self._n_workers,
+                    initializer=_limit_blas_threads,
+                    initargs=(max(1, default_worker_count() // self._n_workers),),
+                )
         return self._pool
 
     def close(self) -> None:

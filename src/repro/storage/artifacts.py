@@ -60,6 +60,27 @@ def artifact_key(stage: str, input_hash: str, params: Mapping[str, Any]) -> str:
     return f"{stage}-{content_digest(material)}"
 
 
+def open_backing_store(path: str | Path) -> DocumentStore:
+    """Open the document store an artifact cache persists to at ``path``.
+
+    An unreadable file (truncated write, manual edit) is moved aside and
+    the store starts empty: a corrupt cache means recomputation, never a
+    crash.  Opening writes nothing, so a caller can build its
+    :class:`ArtifactStore` inside :meth:`DocumentStore.batch` and have the
+    container create share the batch's single write.
+    """
+    path = Path(path)
+    try:
+        return DocumentStore(path)
+    except (ValueError, OSError, KeyError, TypeError):
+        quarantined = path.with_suffix(path.suffix + ".corrupt")
+        try:
+            path.replace(quarantined)
+        except OSError:
+            path.unlink(missing_ok=True)
+        return DocumentStore(path)
+
+
 @dataclass
 class ArtifactCacheStats:
     """Hit/miss counters of one :class:`ArtifactStore`."""
@@ -119,22 +140,9 @@ class ArtifactStore:
 
     @classmethod
     def at(cls, path: str | Path, container: str = ARTIFACTS_CONTAINER) -> "ArtifactStore":
-        """Open a file-persisted artifact store at ``path``.
-
-        An unreadable backing file (truncated write, manual edit) is moved
-        aside and the store starts empty: a corrupt cache means
-        recomputation, never a crash.
-        """
-        path = Path(path)
-        try:
-            return cls(DocumentStore(path), container)
-        except (ValueError, OSError, KeyError, TypeError):
-            quarantined = path.with_suffix(path.suffix + ".corrupt")
-            try:
-                path.replace(quarantined)
-            except OSError:
-                path.unlink(missing_ok=True)
-            return cls(DocumentStore(path), container)
+        """Open a file-persisted artifact store at ``path`` (see
+        :func:`open_backing_store` for what happens to an unreadable file)."""
+        return cls(open_backing_store(path), container)
 
     @property
     def stats(self) -> ArtifactCacheStats:

@@ -13,9 +13,11 @@ Extracts exist in two formats and the store negotiates between them:
 * ``sgx`` -- the binary columnar format of :mod:`repro.storage.columnar`
   (zero-copy ingestion, zone-map-pruned time-range reads).
 
-Writes go to the store's ``write_format`` (and drop the other format's
-now-stale copy); reads prefer ``.sgx`` when both exist and fall back to a
-co-located CSV when an ``.sgx`` file is damaged.  Fingerprints, sizes,
+Writes go to the store's ``write_format`` -- ``.sgx`` unless the caller
+asks for CSV (:data:`DEFAULT_WRITE_FORMAT`) -- and drop the other format's
+now-stale copy; reads prefer ``.sgx`` when both exist and fall back to a
+co-located CSV when an ``.sgx`` file is damaged (counted in
+``ScanStats.csv_fallbacks``).  Fingerprints, sizes,
 listing and deletion cover both formats, and every accessor -- including
 the metadata ones -- enforces the principal allow-list.
 
@@ -92,6 +94,7 @@ if TYPE_CHECKING:
     from repro.storage.live.wal import LiveTailIndex
 
 __all__ = [
+    "DEFAULT_WRITE_FORMAT",
     "EXTRACT_FORMATS",
     "AccessDeniedError",
     "DataLakeStore",
@@ -104,6 +107,11 @@ __all__ = [
     "ScanStats",
     "check_format",
 ]
+
+
+#: Format a store writes new extracts in unless told otherwise.  The one
+#: owner of the lake default: the fleet CLI's ``--extract-format`` reads it.
+DEFAULT_WRITE_FORMAT = "sgx"
 
 
 class ExtractNotFoundError(KeyError):
@@ -139,9 +147,9 @@ class DataLakeStore:
         (reads, writes and metadata accessors alike) must pass a
         ``principal`` that is in the list.
     write_format:
-        Format new extracts are written in (``"csv"`` by default; pass
-        ``"sgx"`` for columnar lakes).  Reading negotiates independently
-        of this setting.
+        Format new extracts are written in (columnar ``"sgx"`` by
+        default, :data:`DEFAULT_WRITE_FORMAT`; pass ``"csv"`` for the
+        text schema).  Reading negotiates independently of this setting.
     chunk_minutes:
         Chunking policy for ``.sgx`` writes: each server's series is
         split at absolute multiples of this many minutes, so zone maps
@@ -160,7 +168,7 @@ class DataLakeStore:
         self,
         root: str | Path | None = None,
         granted_principals: set[str] | None = None,
-        write_format: str = "csv",
+        write_format: str = DEFAULT_WRITE_FORMAT,
         chunk_minutes: int | None = None,
         pinned_generation: int | None = None,
     ) -> None:
@@ -530,6 +538,8 @@ class DataLakeStore:
             except ColumnarFormatError:
                 if "csv" not in formats:
                     raise
+                if stats is not None:
+                    stats.csv_fallbacks += 1
             else:
                 if stats is not None:
                     stats.absorb_sgx(sgx_stats)
@@ -706,6 +716,8 @@ class DataLakeStore:
             except ColumnarFormatError:
                 if "csv" not in formats:
                     raise
+                if stats is not None:
+                    stats.csv_fallbacks += 1
             else:
                 accumulator.merge(partial)
                 if stats is not None:
@@ -873,6 +885,8 @@ class DataLakeStore:
                     if "csv" not in formats:
                         raise
                     fall_back = True
+                    if stats is not None:
+                        stats.csv_fallbacks += 1
                 else:
                     yield first
                     yield from generator

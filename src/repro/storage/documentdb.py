@@ -5,12 +5,19 @@ records and scheduling decisions in Cosmos DB (Section 2.2).  This module
 provides a small document database with named containers, upserts, point
 reads, predicate queries and optional file persistence -- the subset of
 Cosmos DB behaviour the pipeline actually depends on.
+
+A file-backed store rewrites its whole file on every mutation, atomically
+(tmp file + ``os.replace``: a crash mid-write leaves the previous file,
+never torn JSON).  :meth:`DocumentStore.batch` groups mutations into one
+such write.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Callable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -52,8 +59,27 @@ class DocumentStore:
     def __init__(self, path: str | Path | None = None) -> None:
         self._containers: dict[str, _Container] = {}
         self._path = Path(path) if path is not None else None
+        self._batch_depth = 0
+        self._dirty = False
         if self._path is not None and self._path.exists():
             self._load()
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Group mutations into one write.
+
+        Inside the block mutations only mark the store dirty; the
+        outermost block's exit persists once -- on the exception path
+        too, so whatever was put before the error is kept.  Re-entrant.
+        Outside any batch every mutation persists at once.
+        """
+        self._batch_depth += 1
+        try:
+            yield
+        finally:
+            self._batch_depth -= 1
+            if self._batch_depth == 0 and self._dirty:
+                self._persist()
 
     # ------------------------------------------------------------------ #
     # Container management
@@ -66,7 +92,7 @@ class DocumentStore:
                 return
             raise DocumentConflictError(f"container {name!r} already exists")
         self._containers[name] = _Container(name)
-        self._persist()
+        self._changed()
 
     def list_containers(self) -> list[str]:
         """Return the names of all containers."""
@@ -75,7 +101,7 @@ class DocumentStore:
     def drop_container(self, name: str) -> None:
         """Remove a container and all of its documents."""
         self._containers.pop(name, None)
-        self._persist()
+        self._changed()
 
     def _container(self, name: str) -> _Container:
         try:
@@ -96,7 +122,7 @@ class DocumentStore:
             )
         document = Document(id=doc_id, body=dict(body), version=1)
         cont.documents[doc_id] = document
-        self._persist()
+        self._changed()
         return document
 
     def upsert(self, container: str, doc_id: str, body: Mapping[str, Any]) -> Document:
@@ -106,7 +132,7 @@ class DocumentStore:
         version = 1 if existing is None else existing.version + 1
         document = Document(id=doc_id, body=dict(body), version=version)
         cont.documents[doc_id] = document
-        self._persist()
+        self._changed()
         return document
 
     def get(self, container: str, doc_id: str) -> Document:
@@ -128,7 +154,7 @@ class DocumentStore:
         """Delete a document; returns whether it existed."""
         cont = self._container(container)
         existed = cont.documents.pop(doc_id, None) is not None
-        self._persist()
+        self._changed()
         return existed
 
     def query(
@@ -150,15 +176,33 @@ class DocumentStore:
     # Persistence
     # ------------------------------------------------------------------ #
 
+    def _changed(self) -> None:
+        if self._batch_depth:
+            self._dirty = True
+        else:
+            self._persist()
+
     def _persist(self) -> None:
+        self._dirty = False
         if self._path is None:
             return
         payload = {
             name: {doc_id: doc.as_dict() for doc_id, doc in cont.documents.items()}
             for name, cont in self._containers.items()
         }
+        # Compact separators keep json on its C encoder (indent= forces
+        # the pure-Python one, ~3x slower on a full cache file).
+        text = json.dumps(payload, separators=(",", ":"), sort_keys=True, default=str)
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str))
+        # Per-process tmp name: two processes persisting the same path
+        # never write into each other's tmp file.
+        tmp = self._path.with_name(f"{self._path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, self._path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def _load(self) -> None:
         assert self._path is not None

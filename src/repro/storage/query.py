@@ -296,6 +296,9 @@ class ScanStats:
     #: yet sealed into any committed segment.  Zero for committed-only
     #: answers; the live/committed split of a unified read.
     tail_rows_scanned: int = 0
+    #: Damaged ``.sgx`` extracts answered from their co-located CSV copy
+    #: instead -- the read path's one degradation, counted, never silent.
+    csv_fallbacks: int = 0
 
     def absorb_sgx(self, read: SgxReadStats) -> None:
         """Fold one ``.sgx`` read's counters into this rollup."""
@@ -331,6 +334,7 @@ class ScanStats:
             "payload_bytes_verified": self.payload_bytes_verified,
             "rows": self.rows,
             "tail_rows_scanned": self.tail_rows_scanned,
+            "csv_fallbacks": self.csv_fallbacks,
         }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.storage.datalake import DataLakeStore, ExtractKey
+from repro.storage.datalake import DEFAULT_WRITE_FORMAT, DataLakeStore, ExtractKey
 from repro.storage.query import ExtractQuery
 from repro.telemetry.raw_store import RawTelemetryStore
 from repro.timeseries.calendar import DEFAULT_INTERVAL_MINUTES, MINUTES_PER_WEEK
@@ -30,7 +30,7 @@ class ExtractionReport:
     servers: int
     raw_rows: int
     extracted_points: int
-    extract_format: str = "csv"
+    extract_format: str = DEFAULT_WRITE_FORMAT
     extract_bytes: int = 0
     #: Whether the stored copy was read back and checked after the write.
     verified: bool = False

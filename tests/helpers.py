@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections import Counter
 
 import numpy as np
 
+from repro.storage.documentdb import DocumentStore
 from repro.timeseries.calendar import MINUTES_PER_DAY, points_per_day
 from repro.timeseries.series import LoadSeries
 
@@ -322,3 +324,17 @@ def weekly_profile_series(
         days.append(np.full(POINTS_PER_DAY, level))
     values = np.concatenate(days) + rng.normal(0, noise, n_days * POINTS_PER_DAY)
     return LoadSeries.from_values(np.clip(values, 0, 100))
+
+
+def count_cache_writes(monkeypatch) -> Counter:
+    """Count ``DocumentStore._persist`` disk writes, keyed by file name."""
+    writes: Counter = Counter()
+    real_persist = DocumentStore._persist
+
+    def counting_persist(self):
+        if self._path is not None:
+            writes[self._path.name] += 1
+        real_persist(self)
+
+    monkeypatch.setattr(DocumentStore, "_persist", counting_persist)
+    return writes

@@ -77,6 +77,13 @@ class TestExtractSynthesis:
         assert first == second
         assert fingerprints == {key: lake.extract_fingerprint(key) for key in second}
 
+    def test_populate_lake_default_disk_lake_commits_only_sgx(self, tmp_path, fleet_spec):
+        lake = DataLakeStore(tmp_path / "lake")
+        keys = populate_lake(lake, fleet_spec, weeks=[0])
+        segments = lake.manifest.current().segments
+        assert len(segments) == len(keys) == 2
+        assert {entry.fmt for entry in segments} == {"sgx"}
+
     def test_populate_lake_regenerates_on_spec_change(self, tmp_path):
         from dataclasses import replace
 
@@ -293,6 +300,34 @@ class TestOrchestratorCaching:
             warm = orchestrator.run(units)
         assert warm.cache_summary()["unit_hits"] == 1
 
+    def test_cold_unit_writes_its_cache_file_once_warm_unit_never(
+        self, monkeypatch, disk_lake, tmp_path
+    ):
+        from repro.storage.artifacts import ArtifactStore
+
+        from tests.helpers import count_cache_writes
+
+        writes = count_cache_writes(monkeypatch)
+        cache_dir = tmp_path / "cache"
+        with FleetOrchestrator(
+            disk_lake, PipelineConfig(), cache_dir=cache_dir
+        ) as orchestrator:
+            cold = orchestrator.run()
+            cold_writes = dict(writes)
+            writes.clear()
+            warm = orchestrator.run()
+        assert cold.cache_summary()["unit_hits"] == 0
+        expected = {
+            unit_cache_path(cache_dir, o.region, o.week).name: 1 for o in cold.outcomes
+        }
+        assert len(expected) == 4 and cold_writes == expected
+        assert warm.cache_summary()["unit_hits"] == 4
+        assert dict(writes) == {}
+        # The one write carried all four entries: three stages + the outcome.
+        for outcome in cold.outcomes:
+            reopened = ArtifactStore.at(unit_cache_path(cache_dir, outcome.region, outcome.week))
+            assert len(reopened) == 4
+
     def test_processes_backend_with_cache(self, disk_lake, tmp_path):
         cache_dir = tmp_path / "cache"
         units = [ExtractKey("region-0", 0), ExtractKey("region-1", 0)]
@@ -472,7 +507,7 @@ class TestFleetLoadRollup:
 
 class TestColumnarFleetRuns:
     def test_sgx_memory_lake_matches_csv_lake(self, fleet_spec):
-        csv_lake = DataLakeStore()
+        csv_lake = DataLakeStore(write_format="csv")
         sgx_lake = DataLakeStore(write_format="sgx")
         populate_lake(csv_lake, fleet_spec, weeks=[0])
         populate_lake(sgx_lake, fleet_spec, weeks=[0])
@@ -488,18 +523,24 @@ class TestColumnarFleetRuns:
     def test_sgx_disk_lake_with_process_backend(self, tmp_path, fleet_spec):
         lake = DataLakeStore(tmp_path / "lake", write_format="sgx")
         populate_lake(lake, fleet_spec, weeks=[0])
-        with FleetOrchestrator(
-            lake, PipelineConfig(), backend="processes", n_workers=2
-        ) as orchestrator:
+        # A BLAS-backed fit: process workers run it with their BLAS capped
+        # at their CPU share, and must still match the serial loop exactly.
+        config = PipelineConfig(model_name="seasonal_additive")
+        with FleetOrchestrator(lake, config, backend="processes", n_workers=2) as orchestrator:
             report = orchestrator.run()
         assert report.n_failed == 0
+        with FleetOrchestrator(lake, config) as orchestrator:
+            serial = orchestrator.run()
+        for process_outcome, serial_outcome in zip(report.outcomes, serial.outcomes, strict=True):
+            assert process_outcome.summary == serial_outcome.summary
+            assert process_outcome.n_predictable == serial_outcome.n_predictable
 
     def test_memory_lake_corrupt_sgx_falls_back_to_csv_copy(self, fleet_spec):
         # The in-memory handoff must keep the lake's damaged-.sgx-degrades-
         # to-CSV behaviour: workers get the CSV bytes as a fallback.
         from repro.storage.columnar import frame_to_sgx_bytes
 
-        lake = DataLakeStore()
+        lake = DataLakeStore(write_format="csv")
         populate_lake(lake, fleet_spec, weeks=[0])
         key = lake.list_extracts()[0]
         frame = lake.read_extract(key)
@@ -510,6 +551,9 @@ class TestColumnarFleetRuns:
         with FleetOrchestrator(lake, PipelineConfig()) as orchestrator:
             report = orchestrator.run([key])
         assert report.n_failed == 0
+        # The degradation is counted, not silent.
+        assert report.scan_rollup()["csv_fallbacks"] == 1
+        assert "1 damaged .sgx read from CSV" in report.render_text()
 
     def test_convert_refreshes_fingerprints_but_keeps_stage_cache(
         self, tmp_path, fleet_spec
@@ -518,7 +562,7 @@ class TestColumnarFleetRuns:
         while frame content -- and so every stage-cache key -- is unchanged."""
         from repro.storage.migrate import convert_lake
 
-        lake = DataLakeStore(tmp_path / "lake")
+        lake = DataLakeStore(tmp_path / "lake", write_format="csv")
         populate_lake(lake, fleet_spec, weeks=[0])
         cache_dir = tmp_path / "cache"
         with FleetOrchestrator(
@@ -537,7 +581,7 @@ class TestColumnarFleetRuns:
 class TestConvertCli:
     def _csv_lake(self, tmp_path):
         spec = default_fleet_spec(servers_per_region=(4, 3), weeks=4, seed=5)
-        lake = DataLakeStore(tmp_path / "lake")
+        lake = DataLakeStore(tmp_path / "lake", write_format="csv")
         populate_lake(lake, spec, weeks=range(2))
         return lake
 
@@ -954,6 +998,9 @@ class TestScanRollup:
             report = orchestrator.run()
         assert "Scan:" in report.render_text()
         assert "payload bytes CRC-verified" in report.render_text()
+        # Nothing degraded: the fallback count is reported only when non-zero.
+        assert report.scan_rollup()["csv_fallbacks"] == 0
+        assert "damaged .sgx" not in report.render_text()
         assert "scan" in report.as_dict()
         json.dumps(report.as_dict())  # stays JSON-serializable
 
@@ -977,6 +1024,12 @@ class TestScanRollup:
 
 
 class TestFleetCli:
+    def test_extract_format_default_is_the_library_default(self):
+        from repro.fleet_ops.cli import build_parser
+        from repro.storage.datalake import DEFAULT_WRITE_FORMAT
+
+        assert build_parser().parse_args([]).extract_format == DEFAULT_WRITE_FORMAT
+
     def test_cli_runs_and_reports(self, capsys, tmp_path):
         code = fleet_main(
             [

@@ -1,5 +1,7 @@
 """Unit tests for the partitioned executor and partition helpers."""
 
+import os
+
 import pytest
 
 from repro.parallel import executor as executor_module
@@ -13,6 +15,34 @@ from repro.parallel.partition import chunk_evenly, partition_dict, partition_lis
 
 def square_sum(chunk):
     return sum(x * x for x in chunk)
+
+
+#: OpenBLAS thread-count getters, paired with the setters the executor uses.
+OPENBLAS_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def blas_threads(_partition):
+    """(environment cap, OpenBLAS's own thread count or None) in this process."""
+    import ctypes
+
+    import numpy  # noqa: F401  -- makes sure numpy's BLAS is mapped
+
+    counts = []
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line}
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for symbol in OPENBLAS_THREAD_GETTERS:
+            getter = getattr(library, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                counts.append(getter())
+                break
+    return os.environ.get("OPENBLAS_NUM_THREADS"), (min(counts) if counts else None)
 
 
 class TestChunkEvenly:
@@ -169,6 +199,17 @@ class TestExecutorLifecycle:
         executor.close()
         executor.close()
         assert executor.closed
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+    def test_process_workers_cap_blas_threads_at_their_cpu_share(self):
+        n_workers = 2
+        share = max(1, default_worker_count() // n_workers)
+        with PartitionedExecutor("processes", n_workers=n_workers) as executor:
+            results = executor.map(blas_threads, [0, 1])
+        for env_cap, openblas_threads in results:
+            assert env_cap == str(share)
+            if openblas_threads is not None:  # numpy built on OpenBLAS
+                assert openblas_threads == share
 
     def test_process_pool_reused_across_map_calls(self):
         with PartitionedExecutor("processes", n_workers=1) as executor:

@@ -183,6 +183,21 @@ class TestAggregateRowParity:
         result = lake.query(query)
         assert_aggregates_close(result.aggregates, naive_aggregate(frame, query))
 
+    def test_structure_damage_falls_back_to_csv_and_is_counted(self):
+        frame = build_frame()
+        lake = DataLakeStore(write_format="csv")
+        key = ExtractKey("westus2", 0)
+        lake.write_extract(key, frame)
+        lake.write_extract(key, frame, fmt="sgx", keep_other_formats=True)
+        _fmt, raw = lake.read_extract_bytes(key, fmt="sgx")
+        damaged = bytearray(raw)
+        damaged[50] ^= 0xFF  # dictionary/structure region: fails before any fold
+        lake.write_extract_bytes(key, "sgx", bytes(damaged), keep_other_formats=True)
+        query = ExtractQuery(aggregates=ALL_REDUCTIONS, group_by=("server",))
+        result = lake.query(query)
+        assert_aggregates_close(result.aggregates, naive_aggregate(frame, query))
+        assert result.stats.csv_fallbacks == 1
+
 
 class TestDecodeAvoidance:
     """Fully covered chunks are answered from statistics, not payloads."""

@@ -10,10 +10,13 @@ from repro.storage.artifacts import (
     artifact_key,
     canonical_json,
     content_digest,
+    open_backing_store,
 )
 from repro.storage.documentdb import DocumentStore
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
+
+from tests.helpers import count_cache_writes
 
 
 def make_frame(values=(1.0, 2.0, 3.0), region="region-0", backup_start=0):
@@ -167,6 +170,114 @@ class TestCorruptionFallback:
         ArtifactStore.at(path).put(artifact_key("s", "h", {"p": 1}), {"data": [1.5, 2.5]})
         reopened = ArtifactStore.at(path)
         assert reopened.get(artifact_key("s", "h", {"p": 1})) == {"data": [1.5, 2.5]}
+
+
+class TestBatchedWrites:
+    """One file write per batch; immediate writes outside one; writes that
+    fail leave the previous file intact."""
+
+    KEYS = [artifact_key(stage, "h", {}) for stage in ("features", "train_infer", "evaluation")]
+
+    @pytest.fixture()
+    def writes(self, monkeypatch):
+        return count_cache_writes(monkeypatch)
+
+    def test_batch_writes_once_and_reopens_with_every_entry(self, tmp_path, writes):
+        path = tmp_path / "unit.json"
+        documents = open_backing_store(path)
+        assert writes["unit.json"] == 0 and not path.exists()  # opening writes nothing
+        with documents.batch():
+            store = ArtifactStore(documents)
+            for index, key in enumerate(self.KEYS):
+                store.put(key, {"x": index})
+            assert writes["unit.json"] == 0 and not path.exists()
+        assert writes["unit.json"] == 1
+        reopened = ArtifactStore.at(path)
+        assert len(reopened) == 3
+        assert [reopened.get(key) for key in self.KEYS] == [{"x": 0}, {"x": 1}, {"x": 2}]
+
+    def test_nested_batches_write_once_at_the_outermost_exit(self, tmp_path, writes):
+        documents = open_backing_store(tmp_path / "unit.json")
+        store = ArtifactStore(documents)
+        writes.clear()
+        with documents.batch():
+            store.put(self.KEYS[0], {"x": 0})
+            with documents.batch():
+                store.put(self.KEYS[1], {"x": 1})
+            assert writes["unit.json"] == 0
+            store.put(self.KEYS[2], {"x": 2})
+        assert writes["unit.json"] == 1
+        assert len(ArtifactStore.at(tmp_path / "unit.json")) == 3
+
+    def test_batch_without_mutations_writes_nothing(self, tmp_path, writes):
+        path = tmp_path / "unit.json"
+        ArtifactStore.at(path).put(self.KEYS[0], {"x": 0})
+        writes.clear()
+        documents = open_backing_store(path)
+        with documents.batch():
+            store = ArtifactStore(documents)  # the container already exists
+            assert store.get(self.KEYS[0]) == {"x": 0}
+        assert writes["unit.json"] == 0
+
+    def test_exception_inside_batch_still_persists_puts(self, tmp_path):
+        path = tmp_path / "unit.json"
+        documents = open_backing_store(path)
+        with pytest.raises(RuntimeError, match="stage failed"):
+            with documents.batch():
+                store = ArtifactStore(documents)
+                store.put(self.KEYS[0], {"x": 0})
+                raise RuntimeError("stage failed")
+        assert ArtifactStore.at(path).get(self.KEYS[0]) == {"x": 0}
+
+    def test_put_outside_batch_is_on_disk_immediately(self, tmp_path, writes):
+        path = tmp_path / "unit.json"
+        store = ArtifactStore.at(path)
+        writes.clear()
+        for index, key in enumerate(self.KEYS):
+            store.put(key, {"x": index})
+            assert writes["unit.json"] == index + 1
+            assert ArtifactStore.at(path).get(key) == {"x": index}
+
+    def test_persisted_file_is_compact_sorted_json(self, tmp_path):
+        path = tmp_path / "unit.json"
+        ArtifactStore.at(path).put(self.KEYS[0], {"b": 1, "a": 2})
+        text = path.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, separators=(",", ":"), sort_keys=True)
+
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failed_write_leaves_previous_file_and_no_tmp(self, tmp_path, monkeypatch, stage):
+        import os
+        from pathlib import Path
+
+        path = tmp_path / "unit.json"
+        store = ArtifactStore.at(path)
+        store.put(self.KEYS[0], {"x": 0})
+        before = path.read_bytes()
+
+        if stage == "write":
+            real_write_text = Path.write_text
+
+            def torn_write(self, data, *args, **kwargs):
+                real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError("disk full")
+
+            monkeypatch.setattr(Path, "write_text", torn_write)
+        else:
+
+            def failing_replace(src, dst):
+                raise OSError("rename failed")
+
+            monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            store.put(self.KEYS[1], {"x": 1})
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["unit.json"]
+        reopened = ArtifactStore.at(path)
+        assert reopened.get(self.KEYS[0]) == {"x": 0}
+        assert not (tmp_path / "unit.json.corrupt").exists()
 
 
 class TestCanonicalJson:

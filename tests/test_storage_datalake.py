@@ -4,10 +4,12 @@ import pytest
 
 from repro.storage.columnar import ColumnarFormatError, frame_to_sgx_bytes
 from repro.storage.datalake import (
+    DEFAULT_WRITE_FORMAT,
     AccessDeniedError,
     DataLakeStore,
     ExtractKey,
     ExtractNotFoundError,
+    ExtractQuery,
 )
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
@@ -162,6 +164,15 @@ class TestListExtractParsing:
 
 
 class TestFormatNegotiation:
+    def test_default_write_format_is_sgx(self, tmp_path):
+        assert DEFAULT_WRITE_FORMAT == "sgx"
+        assert DataLakeStore(tmp_path).write_format == "sgx"
+        assert DataLakeStore().write_format == "sgx"
+        store = DataLakeStore(tmp_path)
+        key = ExtractKey("r0", 0)
+        store.write_extract(key, small_frame())
+        assert store.extract_formats(key) == ("sgx",)
+
     @pytest.mark.parametrize("root", [None, "disk"])
     def test_sgx_write_and_read(self, tmp_path, root):
         store = DataLakeStore(tmp_path if root else None, write_format="sgx")
@@ -174,7 +185,7 @@ class TestFormatNegotiation:
 
     @pytest.mark.parametrize("root", [None, "disk"])
     def test_sgx_preferred_over_csv(self, tmp_path, root):
-        store = DataLakeStore(tmp_path if root else None)
+        store = DataLakeStore(tmp_path if root else None, write_format="csv")
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame())
         store.write_extract(key, small_frame(3), fmt="sgx", keep_other_formats=True)
@@ -406,6 +417,7 @@ class TestCorruptionFallback:
         store.write_extract(key, frame, fmt="sgx", keep_other_formats=True)
         self._corrupt_sgx(store, key)
         assert store.read_extract(key).content_hash() == frame.content_hash()
+        assert store.query(ExtractQuery.for_key(key)).stats.csv_fallbacks == 1
 
     def test_corrupt_sgx_without_csv_raises_typed_error(self, tmp_path):
         store = DataLakeStore(tmp_path, write_format="sgx")
@@ -434,6 +446,7 @@ class TestCorruptionFallback:
         damaged[-3] ^= 0xFF
         store._memory[key]["sgx"] = bytes(damaged)
         assert store.read_extract(key).content_hash() == frame.content_hash()
+        assert store.query(ExtractQuery.for_key(key)).stats.csv_fallbacks == 1
 
 
 class TestExtractKey:

@@ -39,7 +39,7 @@ def plant_legacy_extract(root, key: ExtractKey, payload: bytes) -> None:
 
 
 def legacy_csv_payload() -> bytes:
-    store = DataLakeStore()
+    store = DataLakeStore(write_format="csv")
     store.write_extract(KEY, small_frame())
     return store.read_extract_bytes(KEY)[1]
 

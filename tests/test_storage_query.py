@@ -226,6 +226,7 @@ class TestLakeQuery:
         path.write_bytes(bytes(damaged))
         result = lake.query(ExtractQuery.for_key(key))
         assert result.frame.content_hash() == frame.content_hash()
+        assert result.stats.csv_fallbacks == 1
 
     def test_access_control_enforced(self):
         lake = DataLakeStore(granted_principals={"seagull"})
@@ -416,8 +417,10 @@ class TestLakeScan:
         damaged = bytearray(path.read_bytes())
         damaged[50] ^= 0xFF  # dictionary/structure region
         path.write_bytes(bytes(damaged))
-        rows = list(lake.scan(ExtractQuery.for_key(key)))
+        stats = ScanStats()
+        rows = list(lake.scan(ExtractQuery.for_key(key), stats=stats))
         assert [m.server_id for _k, m, _s in rows] == ["s0", "s1"]
+        assert stats.csv_fallbacks == 1
 
     def test_scan_limit_exhaustion_stops_before_next_server_decode(self, tmp_path):
         # Once the row limit is exhausted the scan must return without
